@@ -73,7 +73,7 @@ class FuzzConfig:
 class Finding:
     """One deduplicated, triaged finding."""
 
-    kind: str                      #: divergence | sanitizer | timing
+    kind: str                      #: divergence|sanitizer|timing|x86_blocks
     signature: str
     leg: str
     exec_index: int

@@ -1,12 +1,13 @@
 """The differential oracle: one candidate, every execution tier.
 
-Each candidate runs through the reference interpretive path first (a
-program that crashes or never exits there is *invalid*, not
-interesting), then through a matrix of co-designed legs — interpretive,
-fastpath, direct tier, in strict and recover modes, each validating
-against the authoritative x86 component, each with the invariant
-sanitizer hot — and optionally an annotated-timing leg whose cycle
-report must be bit-identical to the per-instruction timing path.
+Each candidate runs through the reference interpretive path first, both
+on compiled blocks and instruction by instruction (a disagreement is an
+``x86-blocks`` finding; a program that crashes or never exits there is
+*invalid*, not interesting), then through a matrix of co-designed legs —
+interpretive, fastpath, direct tier, in strict and recover modes, each
+validating against the authoritative x86 component, each with the
+invariant sanitizer hot — and optionally an annotated-timing leg whose
+cycle report must be bit-identical to the per-instruction timing path.
 
 Anything that raises, records a divergence-class incident, disagrees
 with the other legs on retirement counts, or breaks the timing
@@ -18,6 +19,7 @@ must never hang a worker or abort the campaign.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -40,6 +42,9 @@ DEFAULT_LEGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("direct_recover", {"recovery_mode": "recover"}),
 )
 
+#: Leg name of a reference finding: compiled x86 blocks vs the stepper.
+X86_BLOCKS_LEG = "x86-blocks"
+
 #: Incident kinds that constitute a divergence finding.  Deliberately
 #: excludes ``rollback_storm`` (speculation failing hard enough to
 #: demote is the adaptive pipeline working, not a bug) and
@@ -54,7 +59,8 @@ class FuzzOutcome:
 
     classification: str            #: ok | invalid | runaway | finding
     edges: List[str] = field(default_factory=list)
-    finding_kind: Optional[str] = None   #: divergence|sanitizer|timing
+    #: divergence | sanitizer | timing | x86_blocks
+    finding_kind: Optional[str] = None
     finding_leg: Optional[str] = None
     signature: Optional[str] = None
     error: Optional[str] = None
@@ -62,16 +68,73 @@ class FuzzOutcome:
     runaway_leg: Optional[str] = None
 
 
-def _reference_clean(program: GuestProgram, os_stdin: bytes,
-                     os_seed: int, step_cap: int) -> Optional[int]:
-    """Reference icount when the candidate runs clean, else None."""
-    emu = GuestEmulator(program,
-                        os=GuestOS(stdin=os_stdin, rand_seed=os_seed))
-    try:
-        emu.run(max_steps=step_cap)
-    except Exception:
-        return None
-    return emu.icount if emu.os.exited else None
+def reference_fingerprint(emu: GuestEmulator) -> Dict[str, object]:
+    """Everything a reference run leaves behind, comparable with ``==``:
+    architectural state (floats by bit pattern, since NaN != NaN), every
+    page, the dirty set, the four retirement counters and the OS (stdout
+    included).  A present all-zero page equals an absent one: on demand-zero
+    memory the difference is when a page was first touched, not its data."""
+    state = emu.state
+    memory = emu.memory
+    pages = {}
+    for page in sorted(memory.present_pages()):
+        data = memory.export_page(page)
+        if any(data):
+            pages[page] = data
+    return {
+        "gpr": list(state.gpr),
+        "fpr": [struct.pack("<d", value) for value in state.fpr],
+        "vr": [list(lanes) for lanes in state.vr],
+        "flags": list(state.flags),
+        "eip": state.eip,
+        "pages": pages,
+        "dirty": sorted(memory.dirty),
+        "icount": emu.icount,
+        "branch_count": emu.branch_count,
+        "bb_count": emu.bb_count,
+        "class_counts": list(emu.class_counts.items()),
+        "os": {name: bytes(value) if isinstance(value, bytearray) else value
+               for name, value in vars(emu.os).items()},
+    }
+
+
+def reference_paths(program: GuestProgram, os_stdin: bytes, os_seed: int,
+                    step_cap: int) -> Tuple[Optional[int], Optional[str]]:
+    """Run the reference both ways: ``run()`` on compiled blocks and a
+    plain ``step()`` loop, each for at most ``step_cap`` instructions.
+
+    Returns ``(icount, mismatch)``: the icount when the candidate exits
+    cleanly (else None), and a description when the two paths disagree on
+    the raised exception or on :func:`reference_fingerprint` (else None)."""
+    def run(blocks: bool):
+        emu = GuestEmulator(program,
+                            os=GuestOS(stdin=os_stdin, rand_seed=os_seed))
+        try:
+            if blocks:
+                emu.run(max_steps=step_cap)
+            else:
+                while not emu.halted and emu.icount < step_cap:
+                    emu.step()
+        except Exception as exc:
+            return emu, f"{type(exc).__name__}: {exc}"
+        return emu, None
+
+    emu, error = run(blocks=True)
+    mismatch = None
+    # A run() that compiled nothing was the step() loop itself.
+    if emu.compiled_blocks:
+        step_emu, step_error = run(blocks=False)
+        fingerprint = reference_fingerprint(emu)
+        step_fingerprint = reference_fingerprint(step_emu)
+        if error != step_error:
+            mismatch = (f"blocks raised {error!r}, "
+                        f"step() raised {step_error!r}")
+        elif fingerprint != step_fingerprint:
+            fields = sorted(k for k in fingerprint
+                            if fingerprint[k] != step_fingerprint[k])
+            mismatch = f"blocks and step() differ in {', '.join(fields)}"
+    clean = error is None and emu.os.exited
+    return (emu.icount if clean else None), mismatch
 
 
 def _signature_for(kind: str, leg: str, tol, error: Optional[str]) -> str:
@@ -114,7 +177,16 @@ def evaluate_candidate(program: GuestProgram,
     from repro.system.controller import Controller
     from repro.tol.sanitize import KIND_SANITIZER, SanitizerError
 
-    ref_icount = _reference_clean(program, os_stdin, os_seed, step_cap)
+    ref_icount, mismatch = reference_paths(program, os_stdin, os_seed,
+                                           step_cap)
+    if mismatch is not None:
+        # The compiled-block reference disagrees with the stepper: the
+        # x86 component itself is wrong, whatever the co-designed legs do.
+        return FuzzOutcome(
+            classification="finding", finding_kind="x86_blocks",
+            finding_leg=X86_BLOCKS_LEG, error=mismatch,
+            signature=_signature_for("x86_blocks", X86_BLOCKS_LEG, None,
+                                     mismatch))
     if ref_icount is None:
         return FuzzOutcome(classification="invalid")
 

@@ -6,21 +6,29 @@ therefore holds the authoritative architectural and memory state the
 co-designed component is validated against (paper §V).
 
 It is implemented independently from the TOL's decode-to-IR path on purpose:
-a translation bug cannot hide by being mirrored here.
+a translation bug cannot hide by being mirrored here.  The run loops execute
+compiled basic blocks (:mod:`repro.guest.blocks`) whose flag semantics come
+from the same :mod:`repro.guest.semantics` tables as the handlers below;
+:meth:`step` is the per-instruction reference path they are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Dict, Optional
 
 from repro.guest import semantics as sem
+from repro.guest.blocks import Block, form_block
 from repro.guest.encoding import decode_instr
 from repro.guest.isa import GuestInstr, Imm, Mem, Reg, s32, u32
 from repro.guest.memory import PagedMemory
 from repro.guest.program import GuestProgram
 from repro.guest.state import GuestState
 from repro.guest.syscalls import GuestOS
+
+
+_UNFORMED = object()
 
 
 class EmulationError(Exception):
@@ -31,11 +39,10 @@ class GuestEmulator:
     """Decode-and-execute guest emulator with authoritative state."""
 
     def __init__(self, program: GuestProgram,
-                 os: Optional[GuestOS] = None,
-                 memory: Optional[PagedMemory] = None):
+                 os: Optional[GuestOS] = None):
         self.program = program
         self.os = os if os is not None else GuestOS()
-        self.memory = memory if memory is not None else PagedMemory()
+        self.memory = PagedMemory()
         program.load_into(self.memory)
         self.state = GuestState()
         self.state.eip = program.entry
@@ -45,6 +52,10 @@ class GuestEmulator:
         self.bb_count = 0
         self.class_counts: Counter = Counter()
         self._decode_cache: Dict[int, GuestInstr] = {}
+        #: Compiled blocks by entry EIP (None: that EIP is stepped).
+        self._blocks: Dict[int, Optional[Block]] = {}
+        #: EIPs stepped once; a block forms at its second entry.
+        self._entered: set = set()
 
     # -- fetch ---------------------------------------------------------------
 
@@ -54,6 +65,11 @@ class GuestEmulator:
             instr = decode_instr(self.memory.read_u8, addr)
             self._decode_cache[addr] = instr
         return instr
+
+    @property
+    def compiled_blocks(self) -> int:
+        """Blocks compiled so far (0: every instruction ran on step())."""
+        return sum(block is not None for block in self._blocks.values())
 
     @property
     def halted(self) -> bool:
@@ -77,10 +93,8 @@ class GuestEmulator:
 
     def run(self, max_steps: Optional[int] = None) -> int:
         """Run until the program exits (or ``max_steps``); returns icount."""
-        steps = 0
-        while not self.halted and (max_steps is None or steps < max_steps):
-            self.step()
-            steps += 1
+        self._run_blocks(None if max_steps is None
+                         else self.icount + max_steps)
         return self.icount
 
     def run_to_icount(self, target: int) -> None:
@@ -92,10 +106,73 @@ class GuestEmulator:
         if target < self.icount:
             raise EmulationError(
                 f"cannot run backwards: at {self.icount}, asked {target}")
-        while self.icount < target and not self.halted:
-            self.step()
+        self._run_blocks(target)
         if self.icount != target and not self.halted:
             raise EmulationError("failed to reach synchronization point")
+
+    def _run_blocks(self, stop: Optional[int]) -> None:
+        """Retire instructions until the program exits or ``icount``
+        reaches ``stop``: whole compiled blocks (:mod:`repro.guest.blocks`)
+        where they fit, :meth:`step` otherwise.  An EIP's first entry is
+        stepped (straight-line code that runs once never pays for a
+        compile); a block that would pass ``stop`` is stepped instead, so
+        synchronization points stay exact.
+
+        EIP and the retirement counters live in locals between steps and
+        are written back before every :meth:`step` and on exit, even by
+        an exception (only a block's first instruction can raise).
+        """
+        state, memory = self.state, self.memory
+        limit = math.inf if stop is None else stop
+        # Fetched per call, never captured by a block: checkpoint resume
+        # replaces the state lists.
+        args = (state.gpr, state.fpr, state.vr, state.flags,
+                memory.read_u32, memory.write_u32, memory.read_f64,
+                memory.write_f64, memory.read_vec, memory.write_vec)
+        blocks, entered = self._blocks, self._entered
+        ran = []  # blocks run since the counters were last settled
+        eip, icount = state.eip, self.icount
+        try:
+            while icount < limit and not self.halted:
+                block = blocks.get(eip, _UNFORMED)
+                if block is _UNFORMED:
+                    if eip in entered:   # second entry: worth compiling
+                        block = blocks[eip] = form_block(self.fetch, eip)
+                    else:                # code that may run only once
+                        entered.add(eip)
+                        block = None
+                if block is not None and icount + block.length <= limit:
+                    eip = block.run(*args)
+                    icount += block.length
+                    if not block.hits:
+                        ran.append(block)
+                    block.hits += 1
+                    continue
+                self._settle(ran, eip, icount)
+                # Stepped: an unblockable instruction, or the straight-line
+                # prefix of a block that would pass the stop point.
+                for _ in range(1 if block is None else limit - icount):
+                    self.step()
+                    eip, icount = state.eip, self.icount
+        finally:
+            self._settle(ran, eip, icount)
+
+    def _settle(self, ran, eip: int, icount: int) -> None:
+        """Write back EIP, icount and the counters of the blocks ``ran``
+        (in first-run order, so ``class_counts`` keys are inserted in the
+        order :meth:`step` would insert them)."""
+        self.state.eip = eip
+        self.icount = icount
+        counts = self.class_counts
+        for block in ran:
+            hits = block.hits
+            for klass, n in block.classes:
+                counts[klass] += n * hits
+            if block.branches:
+                self.branch_count += hits
+                self.bb_count += hits
+            block.hits = 0
+        ran.clear()
 
     # -- operand helpers -----------------------------------------------------
 

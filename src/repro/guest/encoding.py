@@ -21,7 +21,6 @@ Layout::
 from __future__ import annotations
 
 import struct
-from typing import Tuple
 
 from repro.guest.isa import (
     FPR_NAMES, GPR_NAMES, INSN_SPECS, MNEMONICS, OPCODE_OF, VR_NAMES,
@@ -58,20 +57,32 @@ def encode_instr(instr: GuestInstr) -> bytes:
     return bytes(out)
 
 
+#: Operand kind (see :class:`~repro.guest.isa.InsnSpec`) -> allowed types.
+_KIND_TYPES = {
+    "r": (Reg,),
+    "f": (FReg,),
+    "v": (VReg,),
+    "i": (Imm,),
+    "m": (Mem,),
+    "rm": (Reg, Mem),
+    "ri": (Reg, Imm),
+    "rmi": (Reg, Mem, Imm),
+}
+
+
 def _check_kind(mnemonic, operand, kind):
-    allowed = {
-        "r": (Reg,),
-        "f": (FReg,),
-        "v": (VReg,),
-        "i": (Imm,),
-        "m": (Mem,),
-        "rm": (Reg, Mem),
-        "ri": (Reg, Imm),
-        "rmi": (Reg, Mem, Imm),
-    }[kind]
-    if not isinstance(operand, allowed):
+    if not isinstance(operand, _KIND_TYPES[kind]):
         raise EncodingError(
             f"{mnemonic}: operand {operand!r} not allowed for kind {kind!r}")
+
+
+def kinds_match(instr: GuestInstr) -> bool:
+    """Do a decoded instruction's operands have the kinds its spec names?
+
+    The decoder accepts any operand tag in any position, so a corrupted
+    byte stream can yield e.g. a ``MOV`` to an immediate."""
+    return all(isinstance(operand, _KIND_TYPES[kind]) for operand, kind
+               in zip(instr.operands, instr.spec.operands))
 
 
 def _encode_operand(operand) -> bytes:
@@ -103,52 +114,56 @@ def decode_instr(read_byte, addr: int) -> GuestInstr:
 
     ``read_byte(address)`` must return the memory byte at ``address`` (it may
     raise :class:`repro.guest.memory.PageFault`, which propagates so the
-    co-designed component can fetch the missing code page).
+    co-designed component can fetch the missing code page).  Bytes are read
+    one at a time in address order, so a fault names the first missing
+    byte.
     """
-    pos = addr
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        data = bytes(read_byte(pos + i) for i in range(n))
-        pos += n
-        return data
-
-    opcode = take(1)[0]
+    opcode = read_byte(addr)
     if opcode >= len(MNEMONICS):
         raise EncodingError(f"bad opcode {opcode:#x} at {addr:#x}")
     mnemonic = MNEMONICS[opcode]
-    spec = INSN_SPECS[mnemonic]
+    pos = addr + 1
     operands = []
-    for _ in spec.operands:
-        operands.append(_decode_operand(take))
+    for _ in INSN_SPECS[mnemonic].operands:
+        operand, pos = _decode_operand(read_byte, pos)
+        operands.append(operand)
     return GuestInstr(mnemonic, tuple(operands), addr=addr, length=pos - addr)
 
 
-def _decode_operand(take):
-    tag = take(1)[0]
+#: Register operands by encoded number (immutable, so shared).
+_REGS = tuple(Reg(name) for name in GPR_NAMES)
+_FREGS = tuple(FReg(name) for name in FPR_NAMES)
+_VREGS = tuple(VReg(name) for name in VR_NAMES)
+
+
+def _read_u32(read_byte, pos: int) -> int:
+    """Little-endian 32-bit value, low byte read first."""
+    return (read_byte(pos) | read_byte(pos + 1) << 8
+            | read_byte(pos + 2) << 16 | read_byte(pos + 3) << 24)
+
+
+def _decode_operand(read_byte, pos: int):
+    """(operand, position after it) for the operand encoded at ``pos``."""
+    tag = read_byte(pos)
     if tag == _TAG_REG:
-        return Reg(GPR_NAMES[take(1)[0] & 7])
+        return _REGS[read_byte(pos + 1) & 7], pos + 2
     if tag == _TAG_FREG:
-        return FReg(FPR_NAMES[take(1)[0] & 7])
+        return _FREGS[read_byte(pos + 1) & 7], pos + 2
     if tag == _TAG_VREG:
-        return VReg(VR_NAMES[take(1)[0] & 7])
+        return _VREGS[read_byte(pos + 1) & 7], pos + 2
     if tag == _TAG_IMM:
-        return Imm(struct.unpack("<I", take(4))[0])
+        return Imm(_read_u32(read_byte, pos + 1)), pos + 5
     if tag == _TAG_MEM:
-        mode = take(1)[0]
-        base = GPR_NAMES[take(1)[0] & 7] if mode & 0x01 else None
-        index = GPR_NAMES[take(1)[0] & 7] if mode & 0x02 else None
+        mode = read_byte(pos + 1)
+        pos += 2
+        base = index = None
+        if mode & 0x01:
+            base = GPR_NAMES[read_byte(pos) & 7]
+            pos += 1
+        if mode & 0x02:
+            index = GPR_NAMES[read_byte(pos) & 7]
+            pos += 1
         scale = _LOG_TO_SCALE[(mode >> 2) & 0x3]
-        disp = struct.unpack("<I", take(4))[0]
-        return Mem(base=base, index=index, scale=scale, disp=disp)
+        disp = _read_u32(read_byte, pos)
+        return Mem(base=base, index=index, scale=scale, disp=disp), pos + 4
     raise EncodingError(f"bad operand tag {tag:#x}")
-
-
-def encode_program(instrs) -> Tuple[bytes, dict]:
-    """Encode a sequence of instructions; return (code bytes, offset map)."""
-    out = bytearray()
-    offsets = {}
-    for i, instr in enumerate(instrs):
-        offsets[i] = len(out)
-        out += encode_instr(instr)
-    return bytes(out), offsets

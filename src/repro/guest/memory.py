@@ -17,6 +17,9 @@ PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDR_MASK = 0xFFFFFFFF
 
+_F64 = struct.Struct("<d")
+_VEC = struct.Struct("<4I")
+
 
 class PageFault(Exception):
     """Access to a page not present in this component's memory image."""
@@ -95,8 +98,17 @@ class PagedMemory:
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        for i, byte in enumerate(data):
-            self.write_u8(addr + i, byte)
+        """Store ``data`` one page-sized slice at a time, so a fault on a
+        later page leaves the earlier pages written (and dirty)."""
+        pos = 0
+        while pos < len(data):
+            addr &= ADDR_MASK
+            offset = addr & PAGE_MASK
+            n = min(len(data) - pos, PAGE_SIZE - offset)
+            self._page_for(addr)[offset:offset + n] = data[pos:pos + n]
+            self.dirty.add(addr >> PAGE_SHIFT)
+            addr += n
+            pos += n
 
     def read_u32(self, addr: int) -> int:
         addr &= ADDR_MASK
@@ -117,23 +129,40 @@ class PagedMemory:
             self.write_bytes(addr, struct.pack("<I", value & 0xFFFFFFFF))
 
     def read_f64(self, addr: int) -> float:
-        return struct.unpack("<d", self.read_bytes(addr, 8))[0]
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - 8:
+            return _F64.unpack_from(self._page_for(addr), offset)[0]
+        return _F64.unpack(self.read_bytes(addr, 8))[0]
 
     def write_f64(self, addr: int, value: float) -> None:
-        self.write_bytes(addr, struct.pack("<d", float(value)))
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - 8:
+            _F64.pack_into(self._page_for(addr), offset, float(value))
+            self.dirty.add(addr >> PAGE_SHIFT)
+        else:
+            self.write_bytes(addr, _F64.pack(float(value)))
 
     def read_vec(self, addr: int):
         """Read a 4-lane int32 vector (16 bytes)."""
-        return list(struct.unpack("<4I", self.read_bytes(addr, 16)))
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - 16:
+            return list(_VEC.unpack_from(self._page_for(addr), offset))
+        return list(_VEC.unpack(self.read_bytes(addr, 16)))
 
     def write_vec(self, addr: int, lanes) -> None:
-        self.write_bytes(
-            addr, struct.pack("<4I", *[lane & 0xFFFFFFFF for lane in lanes]))
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        lanes = [lane & 0xFFFFFFFF for lane in lanes]
+        if offset <= PAGE_SIZE - 16:
+            _VEC.pack_into(self._page_for(addr), offset, *lanes)
+            self.dirty.add(addr >> PAGE_SHIFT)
+        else:
+            self.write_bytes(addr, _VEC.pack(*lanes))
 
     # -- whole image helpers (validation / debug) ---------------------------
-
-    def equal_on_pages(self, other: "PagedMemory", pages) -> bool:
-        return all(self.export_page(p) == other.export_page(p) for p in pages)
 
     def first_difference(self, other: "PagedMemory", pages):
         """Return (page, offset) of the first differing byte, or None."""

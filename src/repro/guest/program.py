@@ -52,7 +52,3 @@ def pack_f64s(values) -> bytes:
 
 def unpack_u32s(blob: bytes) -> Tuple[int, ...]:
     return struct.unpack(f"<{len(blob) // 4}I", blob[: len(blob) // 4 * 4])
-
-
-def unpack_f64s(blob: bytes) -> Tuple[float, ...]:
-    return struct.unpack(f"<{len(blob) // 8}d", blob[: len(blob) // 8 * 8])

@@ -14,83 +14,101 @@ cost to exactly this).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.guest.isa import s32, u32
 
 # --------------------------------------------------------------------------
 # Integer ALU + flag semantics (x86-style, see DESIGN.md for documented
 # deviations: PF/AF omitted, IDIV flags defined, shift OF defined as 0).
+#
+# One expression table is the only statement of these semantics.  Each
+# entry is ``(temps, result, flags)`` as Python expression text over the
+# operands ``a`` and ``b``: ``temps`` are ``(name, expression)`` pairs
+# evaluated first, ``result`` defines ``res`` (None for a compare that
+# only writes flags), and every flag expression may read the operands, the
+# temps and ``res``.  A flag absent from ``flags`` is preserved (INC/DEC
+# keep CF).  The stepper's ``add32``... below are compiled from this table
+# and the x86 block compiler (:mod:`repro.guest.blocks`) inlines the same
+# text, so the two execution paths cannot drift apart on integer flags.
+# The other semantics are written in both modules; tests/test_guest_blocks.py
+# and the ``x86-blocks`` fuzz leg check that they agree.
 # --------------------------------------------------------------------------
 
+_ZF_SF = {"ZF": "int(res == 0)", "SF": "res >> 31"}
+_NAN = "a != a or b != b"
 
-def add32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(a + b)
-    flags = {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(res < u32(a)),
-        "OF": ((~(a ^ b)) & (a ^ res)) >> 31 & 1,
-    }
-    return res, flags
+ALU_OPS: Dict[str, Tuple[tuple, Optional[str], Dict[str, str]]] = {
+    "add": ((), "(a + b) & 0xFFFFFFFF", {
+        **_ZF_SF,
+        "CF": "int(res < (a & 0xFFFFFFFF))",
+        "OF": "((~(a ^ b)) & (a ^ res)) >> 31 & 1",
+    }),
+    "sub": ((), "(a - b) & 0xFFFFFFFF", {
+        **_ZF_SF,
+        "CF": "int((a & 0xFFFFFFFF) < (b & 0xFFFFFFFF))",
+        "OF": "((a ^ b) & (a ^ res)) >> 31 & 1",
+    }),
+    "logic": ((), "a & 0xFFFFFFFF", {**_ZF_SF, "CF": "0", "OF": "0"}),
+    "inc": ((), "(a + 1) & 0xFFFFFFFF", {
+        **_ZF_SF, "OF": "int(res == 0x80000000)"}),
+    "dec": ((), "(a - 1) & 0xFFFFFFFF", {
+        **_ZF_SF, "OF": "int((a & 0xFFFFFFFF) == 0x80000000)"}),
+    "neg": ((), "-a & 0xFFFFFFFF", {
+        **_ZF_SF,
+        "CF": "int((a & 0xFFFFFFFF) != 0)",
+        "OF": "int((a & 0xFFFFFFFF) == 0x80000000)",
+    }),
+    "imul": ((("full", "s32(a) * s32(b)"),), "full & 0xFFFFFFFF", {
+        **_ZF_SF,
+        "CF": "int(full != s32(res))",
+        "OF": "int(full != s32(res))",
+    }),
+    # Shift entries take the masked, non-zero count as ``b``.
+    "shl": ((), "(a << b) & 0xFFFFFFFF", {
+        **_ZF_SF, "CF": "((a & 0xFFFFFFFF) >> (32 - b)) & 1", "OF": "0"}),
+    "shr": ((), "(a & 0xFFFFFFFF) >> b", {
+        **_ZF_SF, "CF": "((a & 0xFFFFFFFF) >> (b - 1)) & 1", "OF": "0"}),
+    "sar": ((), "(s32(a) >> b) & 0xFFFFFFFF", {
+        **_ZF_SF, "CF": "(s32(a) >> (b - 1)) & 1", "OF": "0"}),
+    # FCMP: unordered (NaN) sets ZF=CF=1 like x86 FCOMI.
+    "fcmp": ((), None, {
+        "ZF": f"int(a == b or {_NAN})", "SF": "0",
+        "CF": f"int(a < b or {_NAN})", "OF": "0",
+    }),
+}
 
-
-def sub32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(a - b)
-    flags = {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(u32(a) < u32(b)),
-        "OF": ((a ^ b) & (a ^ res)) >> 31 & 1,
-    }
-    return res, flags
-
-
-def logic32(res: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(res)
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": 0, "OF": 0}
-
-
-def inc32(a: int) -> Tuple[int, Dict[str, int]]:
-    """INC: like ADD 1 but CF is preserved (caller keeps old CF)."""
-    res = u32(a + 1)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "OF": int(res == 0x80000000),
-    }
-
-
-def dec32(a: int) -> Tuple[int, Dict[str, int]]:
-    """DEC: like SUB 1 but CF is preserved."""
-    res = u32(a - 1)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "OF": int(u32(a) == 0x80000000),
-    }
-
-
-def neg32(a: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(-a)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(u32(a) != 0),
-        "OF": int(u32(a) == 0x80000000),
-    }
+#: Names the table's expressions may call.
+ALU_NAMESPACE = {"s32": s32}
 
 
-def imul32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    full = s32(a) * s32(b)
-    res = u32(full)
-    overflow = int(full != s32(res))
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": overflow,
-        "OF": overflow,
-    }
+def _derive(op: str, name: str, params: str):
+    """Compile one table entry into a ``(res, flags)`` (or ``flags``)
+    function."""
+    temps, result, flags = ALU_OPS[op]
+    lines = [f"def {name}({params}):"]
+    lines += [f"    {temp} = {expr}" for temp, expr in temps]
+    body = ", ".join(f"{flag!r}: {expr}" for flag, expr in flags.items())
+    if result is None:
+        lines.append(f"    return {{{body}}}")
+    else:
+        lines.append(f"    res = {result}")
+        lines.append(f"    return res, {{{body}}}")
+    namespace = dict(ALU_NAMESPACE)
+    exec(compile("\n".join(lines), f"<semantics:{op}>", "exec"), namespace)
+    return namespace[name]
+
+
+add32 = _derive("add", "add32", "a, b")
+sub32 = _derive("sub", "sub32", "a, b")
+#: LOGIC: the raw AND/OR/XOR/TEST (or IDIV quotient) result's flags.
+logic32 = _derive("logic", "logic32", "a")
+#: INC/DEC: like ADD/SUB 1 but CF is preserved (caller keeps old CF).
+inc32 = _derive("inc", "inc32", "a")
+dec32 = _derive("dec", "dec32", "a")
+neg32 = _derive("neg", "neg32", "a")
+imul32 = _derive("imul", "imul32", "a, b")
+fcmp = _derive("fcmp", "fcmp", "a, b")
 
 
 def idiv32(a: int, b: int) -> Tuple[int, int]:
@@ -105,54 +123,45 @@ def idiv32(a: int, b: int) -> Tuple[int, int]:
     return u32(quotient), u32(remainder)
 
 
-def shl32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    res = u32(a << count)
-    cf = (u32(a) >> (32 - count)) & 1
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
+def _shift(op: str):
+    counted = _derive(op, f"_{op}32", "a, b")
+
+    def shift(a: int, count: int) -> Tuple[int, Dict[str, int]]:
+        count &= 31
+        if count == 0:
+            return u32(a), {}
+        return counted(a, count)
+
+    shift.__name__ = f"{op}32"
+    return shift
 
 
-def shr32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    cf = (u32(a) >> (count - 1)) & 1
-    res = u32(a) >> count
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
+shl32 = _shift("shl")
+shr32 = _shift("shr")
+sar32 = _shift("sar")
 
 
-def sar32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    cf = (s32(a) >> (count - 1)) & 1
-    res = u32(s32(a) >> count)
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
-
-
-def fcmp(a: float, b: float) -> Dict[str, int]:
-    """FCMP flag result; unordered (NaN) sets ZF=CF=1 like x86 FCOMI."""
-    if math.isnan(a) or math.isnan(b):
-        return {"ZF": 1, "SF": 0, "CF": 1, "OF": 0}
-    return {"ZF": int(a == b), "SF": 0, "CF": int(a < b), "OF": 0}
-
+#: Condition codes as expression text over the flag values ``zf``, ``sf``,
+#: ``cf`` and ``of``; the block compiler inlines these.
+CONDITIONS = {
+    "E": "zf == 1",
+    "NE": "zf == 0",
+    "L": "sf != of",
+    "LE": "zf == 1 or sf != of",
+    "G": "zf == 0 and sf == of",
+    "GE": "sf == of",
+    "B": "cf == 1",
+    "BE": "cf == 1 or zf == 1",
+    "A": "cf == 0 and zf == 0",
+    "AE": "cf == 0",
+    "S": "sf == 1",
+    "NS": "sf == 0",
+}
 
 #: Condition-code predicates over (ZF, SF, CF, OF) -> bool.
 CONDITION_EVAL = {
-    "E": lambda zf, sf, cf, of: zf == 1,
-    "NE": lambda zf, sf, cf, of: zf == 0,
-    "L": lambda zf, sf, cf, of: sf != of,
-    "LE": lambda zf, sf, cf, of: zf == 1 or sf != of,
-    "G": lambda zf, sf, cf, of: zf == 0 and sf == of,
-    "GE": lambda zf, sf, cf, of: sf == of,
-    "B": lambda zf, sf, cf, of: cf == 1,
-    "BE": lambda zf, sf, cf, of: cf == 1 or zf == 1,
-    "A": lambda zf, sf, cf, of: cf == 0 and zf == 0,
-    "AE": lambda zf, sf, cf, of: cf == 0,
-    "S": lambda zf, sf, cf, of: sf == 1,
-    "NS": lambda zf, sf, cf, of: sf == 0,
+    cc: eval(f"lambda zf, sf, cf, of: {expr}")
+    for cc, expr in CONDITIONS.items()
 }
 
 
@@ -234,34 +243,33 @@ COS_RECIPE: List[tuple] = _build_sin_recipe(_HALF_PI)
 TRIG_RECIPES = {"sin": SIN_RECIPE, "cos": COS_RECIPE}
 
 
-def eval_recipe(recipe: List[tuple], x: float) -> float:
-    """Reference evaluation of a transcendental recipe."""
-    slots: Dict[str, float] = {"x": float(x)}
+_RECIPE_OPS = {"mul": "{} * {}", "add": "{} + {}", "sub": "{} - {}",
+               "floor": "_floor({})"}
+
+
+def compile_recipe(recipe: List[tuple], name: str):
+    """Compile a recipe into one straight-line function: the same IEEE
+    double operations, in the same order, with constants embedded exactly
+    (``repr`` round-trips a double)."""
+    lines = [f"def {name}(x):", "    s_x = float(x)"]
     for step in recipe:
-        op = step[0]
+        op, dst = step[0], f"s_{step[1]}"
         if op == "const":
-            slots[step[1]] = step[2]
-        elif op == "mul":
-            slots[step[1]] = slots[step[2]] * slots[step[3]]
-        elif op == "add":
-            slots[step[1]] = slots[step[2]] + slots[step[3]]
-        elif op == "sub":
-            slots[step[1]] = slots[step[2]] - slots[step[3]]
-        elif op == "floor":
-            slots[step[1]] = math.floor(slots[step[2]])
+            lines.append(f"    {dst} = {step[2]!r}")
+        elif op in _RECIPE_OPS:
+            args = [f"s_{slot}" for slot in step[2:]]
+            lines.append(f"    {dst} = {_RECIPE_OPS[op].format(*args)}")
         else:
             raise ValueError(f"bad recipe op {op!r}")
-    return slots["res"]
+    lines.append("    return s_res")
+    namespace = {"_floor": math.floor}
+    exec(compile("\n".join(lines), f"<recipe:{name}>", "exec"), namespace)
+    return namespace[name]
 
 
-def gisa_sin(x: float) -> float:
-    """The guest ISA's architectural definition of FSIN."""
-    return eval_recipe(SIN_RECIPE, x)
-
-
-def gisa_cos(x: float) -> float:
-    """The guest ISA's architectural definition of FCOS."""
-    return eval_recipe(COS_RECIPE, x)
+#: The guest ISA's architectural definitions of FSIN and FCOS.
+gisa_sin = compile_recipe(SIN_RECIPE, "gisa_sin")
+gisa_cos = compile_recipe(COS_RECIPE, "gisa_cos")
 
 
 def fdiv64(a: float, b: float) -> float:

@@ -83,7 +83,3 @@ class GuestOS:
         else:
             result = 0xFFFFFFFF  # ENOSYS-style failure
         state.gpr[0] = result & 0xFFFFFFFF
-
-    def clone_for_replay(self) -> "GuestOS":
-        """A fresh OS with identical deterministic inputs (for re-runs)."""
-        return GuestOS(stdin=self.stdin, rand_seed=self._seed)

@@ -184,6 +184,21 @@ class SanitizerOracle(ProgramOracle):
         return KIND_SANITIZER in tol.incidents.kinds()
 
 
+class X86BlocksOracle(ProgramOracle):
+    """Keeps candidates on which the reference emulator's compiled blocks
+    and its stepper still disagree (the ``x86-blocks`` fuzz leg).  The
+    co-designed component is not involved: ``config`` and ``fault`` go
+    unused."""
+
+    def diverges(self, program: GuestProgram) -> bool:
+        from repro.fuzz.oracle import reference_paths
+
+        self.tests_run += 1
+        _, mismatch = reference_paths(program, self.os_stdin, self.os_seed,
+                                      self.reference_step_cap)
+        return mismatch is not None
+
+
 class TimingMismatchOracle:
     """Keeps candidates whose two timing legs still disagree.
 
@@ -385,10 +400,13 @@ def oracle_for_reason(reason: str, config, fault: Optional[Dict] = None,
                       max_events: int = 200_000):
     """The right oracle for a bundle/finding ``reason`` string:
     sanitizer findings shrink against the sanitizer oracle, timing
-    findings against the timing-mismatch oracle, everything else
-    against the generic divergence oracle."""
+    findings against the timing-mismatch oracle, x86-blocks findings
+    against the reference-only oracle, everything else against the
+    generic divergence oracle."""
     common = dict(fault=fault, os_stdin=os_stdin, os_seed=os_seed,
                   max_events=max_events)
+    if "x86_blocks" in reason:
+        return X86BlocksOracle(config, **common)
     if "sanitizer" in reason:
         return SanitizerOracle(config, **common)
     if "timing" in reason:

@@ -115,3 +115,34 @@ def test_roundtrip_property(instr):
     decoded = roundtrip(instr, addr=0x4321)
     assert decoded.mnemonic == instr.mnemonic
     assert decoded.operands == instr.operands
+
+
+@pytest.mark.parametrize("instr", [
+    GuestInstr("MOV", (Mem(base="EBX", index="ESI", scale=8, disp=-4),
+                       Imm(0x12345678))),
+    GuestInstr("VLD", (VReg("V3"), Mem(index="EDI", scale=2, disp=9))),
+    GuestInstr("FADD", (FReg("F1"), FReg("F7"))),
+])
+def test_decode_reads_in_order_and_faults_at_first_missing_byte(instr):
+    from repro.guest.memory import PageFault
+
+    blob = encode_instr(instr)
+    for missing in range(len(blob)):
+        reads = []
+
+        def read_byte(addr):
+            reads.append(addr)
+            if addr - 0x1000 >= missing:
+                raise PageFault(addr)
+            return blob[addr - 0x1000]
+
+        with pytest.raises(PageFault) as excinfo:
+            decode_instr(read_byte, 0x1000)
+        assert excinfo.value.addr == 0x1000 + missing
+        assert reads == list(range(0x1000, 0x1000 + missing + 1))
+
+
+def test_bad_operand_tag_rejected():
+    blob = bytes([MNEMONICS.index("NEG"), 9, 0])
+    with pytest.raises(EncodingError, match="bad operand tag 0x9"):
+        decode_instr(lambda a: blob[a - 0x1000], 0x1000)

@@ -1,5 +1,7 @@
 """Property and unit tests for paged memory and architectural state."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,77 @@ def test_vec_roundtrip_property(lanes):
     memory = PagedMemory()
     memory.write_vec(0x3000, lanes)
     assert memory.read_vec(0x3000) == lanes
+
+
+def _byte_path(memory, op, addr, value=None):
+    """The accessors' semantics one byte at a time (write_u8/read_u8)."""
+    size, fmt = {"f64": (8, "<d"), "vec": (16, "<4I")}[op]
+    if value is None:
+        raw = bytes(memory.read_u8(addr + i) for i in range(size))
+        out = struct.unpack(fmt, raw)
+        return out[0] if op == "f64" else list(out)
+    packed = (struct.pack(fmt, value) if op == "f64"
+              else struct.pack(fmt, *[v & 0xFFFFFFFF for v in value]))
+    for i, byte in enumerate(packed):
+        memory.write_u8(addr + i, byte)
+    return None
+
+
+def _outcome(memory, call):
+    try:
+        result, error = call(), None
+    except PageFault as exc:
+        result, error = None, exc.addr
+    if isinstance(result, float):
+        result = struct.pack("<d", result)   # NaN != NaN: compare bits
+    pages = {p: memory.export_page(p) for p in sorted(memory.present_pages())}
+    return result, error, sorted(memory.dirty), pages
+
+
+@pytest.mark.parametrize("demand_zero", [True, False])
+@pytest.mark.parametrize("op,value", [
+    ("f64", -1.25e-3), ("vec", [1, 0xFFFFFFFF, 0x80000000, 7])])
+def test_f64_and_vec_fast_path_match_byte_path(demand_zero, op, value):
+    size = 8 if op == "f64" else 16
+    fast_read = getattr(PagedMemory, f"read_{op}")
+    fast_write = getattr(PagedMemory, f"write_{op}")
+    for offset in (0, 8, PAGE_SIZE - size - 1, PAGE_SIZE - size,
+                   PAGE_SIZE - size + 1, PAGE_SIZE - 3, PAGE_SIZE - 1):
+        for second_page in (True, False):
+            addr = 0x7000 + offset
+            mems = []
+            for _ in range(2):
+                memory = PagedMemory(demand_zero=demand_zero)
+                memory.install_page(0x7, bytes(range(256)) * 16)
+                if second_page:
+                    memory.install_page(0x8, bytes(PAGE_SIZE))
+                mems.append(memory)
+            fast, ref = mems
+            assert (_outcome(fast, lambda: fast_read(fast, addr))
+                    == _outcome(ref, lambda: _byte_path(ref, op, addr)))
+            assert (_outcome(fast, lambda: fast_write(fast, addr, value))
+                    == _outcome(ref, lambda: _byte_path(ref, op, addr,
+                                                        value)))
+            assert (_outcome(fast, lambda: fast_read(fast, addr))
+                    == _outcome(ref, lambda: _byte_path(ref, op, addr)))
+
+
+def test_bulk_bytes_fault_and_partial_write_like_byte_path():
+    memory = PagedMemory(demand_zero=False)
+    memory.install_page(0x7, bytes(PAGE_SIZE))
+    with pytest.raises(PageFault) as excinfo:
+        memory.write_bytes(0x8000 - 3, b"abcdef")
+    assert excinfo.value.addr == 0x8000
+    assert memory.read_bytes(0x8000 - 3, 3) == b"abc"
+    assert memory.dirty == {0x7}
+    with pytest.raises(PageFault) as excinfo:
+        memory.read_bytes(0x8000 - 3, 6)
+    assert excinfo.value.addr == 0x8000
+    wrap = PagedMemory()
+    wrap.write_bytes(0xFFFFFFFE, b"wxyz")   # wraps to address 0
+    assert wrap.read_bytes(0xFFFFFFFE, 4) == b"wxyz"
+    assert wrap.read_bytes(0, 2) == b"yz"
+    assert wrap.dirty == {0xFFFFF, 0}
 
 
 # -- architectural state -----------------------------------------------------------
